@@ -3,18 +3,16 @@
 //! harness: median-of-runs ns/op printed as a table, no external deps.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use utps_bench::bench_loop;
 use utps_collections::{
     CountMinSketch, HotSetTracker, LatencyHistogram, SortedCache, SpscRing, TopK,
 };
-use utps_index::BplusTree;
+use utps_core::KvStore;
+use utps_index::{BplusTree, IndexKind, ItemStore};
 use utps_workload::{KeyDist, Mix, Workload, YcsbWorkload};
 
 fn main() {
-    let _ = Instant::now(); // keep the import obvious for future benches
-
     let ring = SpscRing::new(1024);
     bench_loop("spsc_push_pop", || {
         ring.try_push(black_box(42u64)).unwrap();
@@ -72,6 +70,17 @@ fn main() {
     bench_loop("btree_get_native_100k", || {
         k = k.wrapping_add(0x9e3779b97f4a7c15);
         black_box(tree.get_native(k % 100_000));
+    });
+
+    let mut items = ItemStore::new();
+    let val = [0xabu8; 64];
+    // Alloc then free, so the loop reuses one slab slot.
+    bench_loop("item_store_alloc", || {
+        let id = items.alloc(black_box(&val));
+        items.free(black_box(id));
+    });
+    bench_loop("populate_100k_hash", || {
+        black_box(KvStore::populate(IndexKind::Hash, 100_000, 64));
     });
 
     let mut wl = YcsbWorkload::new(Mix::A, KeyDist::zipf(10_000_000, 0.99), 64, 50, 1, 0);

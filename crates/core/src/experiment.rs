@@ -229,6 +229,80 @@ impl Default for RunConfig {
     }
 }
 
+/// Why a [`RunConfig`] was rejected by [`RunConfig::validate`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `batch` is 0: the MR layer would never take work off the CR→MR
+    /// queue, and μTPS would finish with 0 ops.
+    ZeroBatch,
+    /// `clients` is 0: no request would ever be issued, and every system
+    /// would finish with 0 ops. (`pipeline` 0 is run as 1.)
+    NoClients,
+    /// `n_cr` leaves a layer without workers: μTPS needs `1 ≤ n_cr <
+    /// workers`.
+    CrSplit {
+        /// Configured CR workers.
+        n_cr: usize,
+        /// Configured total workers.
+        workers: usize,
+    },
+    /// `mr_ways` asks for more LLC ways than the machine has.
+    MrWays {
+        /// Configured MR ways.
+        mr_ways: usize,
+        /// LLC associativity of the configured machine.
+        llc_ways: usize,
+    },
+}
+
+impl core::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ConfigError::ZeroBatch => write!(f, "batch must be at least 1"),
+            ConfigError::NoClients => write!(f, "clients must be at least 1"),
+            ConfigError::CrSplit { n_cr, workers } => write!(
+                f,
+                "n_cr {n_cr} with {workers} workers leaves a layer empty; need 1 <= n_cr < workers"
+            ),
+            ConfigError::MrWays { mr_ways, llc_ways } => write!(
+                f,
+                "mr_ways {mr_ways} exceeds the machine's {llc_ways} LLC ways (0 = all ways)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl RunConfig {
+    /// Checks the configuration before a run, so bad input is rejected with
+    /// a typed error instead of hanging at 0 ops or panicking while the
+    /// world is built. Every system shares this config, so the μTPS worker
+    /// split is checked for all of them.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.batch == 0 {
+            return Err(ConfigError::ZeroBatch);
+        }
+        if self.clients == 0 {
+            return Err(ConfigError::NoClients);
+        }
+        if self.n_cr == 0 || self.n_cr >= self.workers {
+            return Err(ConfigError::CrSplit {
+                n_cr: self.n_cr,
+                workers: self.workers,
+            });
+        }
+        let llc_ways = self.machine.cache.llc_ways;
+        if self.mr_ways > llc_ways {
+            return Err(ConfigError::MrWays {
+                mr_ways: self.mr_ways,
+                llc_ways,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// Cluster-level measurements attached by the `utps-cluster` runner.
 ///
 /// `None` for every single-machine run, which keeps [`stats_json`] (and the
@@ -763,6 +837,78 @@ pub fn render_tuner_events(trace: &[TunerEvent]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_accepts_defaults_and_rejects_each_bad_field() {
+        let ok = RunConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let full_ways = RunConfig {
+            mr_ways: ok.machine.cache.llc_ways,
+            ..RunConfig::default()
+        };
+        assert_eq!(full_ways.validate(), Ok(()));
+        // The client clamps its pipeline to at least one request.
+        let pipeline_0 = RunConfig {
+            pipeline: 0,
+            ..RunConfig::default()
+        };
+        assert_eq!(pipeline_0.validate(), Ok(()));
+        let cases = [
+            // Once a 0-op, exit-0 μTPS run.
+            (
+                RunConfig {
+                    batch: 0,
+                    ..RunConfig::default()
+                },
+                ConfigError::ZeroBatch,
+            ),
+            (
+                RunConfig {
+                    clients: 0,
+                    ..RunConfig::default()
+                },
+                ConfigError::NoClients,
+            ),
+            // Once a panic inside `build_utps_world`.
+            (
+                RunConfig {
+                    workers: 16,
+                    n_cr: 16,
+                    ..RunConfig::default()
+                },
+                ConfigError::CrSplit {
+                    n_cr: 16,
+                    workers: 16,
+                },
+            ),
+            (
+                RunConfig {
+                    n_cr: 0,
+                    ..RunConfig::default()
+                },
+                ConfigError::CrSplit {
+                    n_cr: 0,
+                    workers: 8,
+                },
+            ),
+            // Once accepted and reported as "MR ways 99".
+            (
+                RunConfig {
+                    mr_ways: 99,
+                    ..RunConfig::default()
+                },
+                ConfigError::MrWays {
+                    mr_ways: 99,
+                    llc_ways: 12,
+                },
+            ),
+        ];
+        for (cfg, want) in cases {
+            let err = cfg.validate().expect_err("invalid config accepted");
+            assert_eq!(err, want);
+            assert!(!err.to_string().is_empty());
+        }
+    }
 
     fn quick_cfg() -> RunConfig {
         RunConfig {

@@ -38,7 +38,7 @@ pub mod tuner;
 
 pub use client::{ClientProc, ClientStats};
 pub use crash::{run_utps_crash, CrashReport};
-pub use experiment::{RunConfig, RunResult, SystemKind};
+pub use experiment::{ConfigError, RunConfig, RunResult, SystemKind};
 pub use msg::{NetMsg, OpKind, Request, Response};
 pub use stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
 pub use store::KvStore;

@@ -276,14 +276,19 @@ impl BplusTree {
     ///
     /// Panics if the keys are not strictly ascending.
     pub fn bulk_load(pairs: &[(u64, ItemId)]) -> Self {
-        for w in pairs.windows(2) {
-            assert!(
-                w[0].0 < w[1].0,
-                "bulk_load requires strictly ascending keys"
-            );
-        }
+        BplusTree::bulk_load_iter(pairs.iter().copied())
+    }
+
+    /// [`BplusTree::bulk_load`] from a stream of ascending `(key, item)`
+    /// entries, consumed leaf by leaf without collecting them first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys are not strictly ascending.
+    pub fn bulk_load_iter(entries: impl IntoIterator<Item = (u64, ItemId)>) -> Self {
+        let mut entries = entries.into_iter().peekable();
         let mut tree = BplusTree::new();
-        if pairs.is_empty() {
+        if entries.peek().is_none() {
             return tree;
         }
         tree.nodes.remove(tree.root);
@@ -291,19 +296,27 @@ impl BplusTree {
         // Build leaves.
         let mut level: Vec<(u64, u32)> = Vec::new(); // (first key, node id)
         let mut prev_leaf: Option<u32> = None;
-        for chunk in pairs.chunks(LEAF_FILL) {
+        let mut last_key: Option<u64> = None;
+        while entries.peek().is_some() {
             let mut node = Node::new(true);
-            for (i, &(k, item)) in chunk.iter().enumerate() {
+            for (i, (k, item)) in entries.by_ref().take(LEAF_FILL).enumerate() {
+                assert!(
+                    last_key.is_none_or(|last| last < k),
+                    "bulk_load requires strictly ascending keys"
+                );
+                last_key = Some(k);
                 node.keys[i] = k;
                 node.ptrs[i] = item;
+                node.count += 1;
             }
-            node.count = chunk.len() as u8;
+            tree.len += node.count as usize;
+            let first_key = node.keys[0];
             let id = tree.alloc_node(node);
             if let Some(p) = prev_leaf {
                 tree.nodes[p].next = id;
             }
             prev_leaf = Some(id);
-            level.push((chunk[0].0, id));
+            level.push((first_key, id));
         }
         // Build inner levels.
         const INNER_FILL: usize = 13;
@@ -337,7 +350,6 @@ impl BplusTree {
             level = next_level;
         }
         tree.root = level[0].1;
-        tree.len = pairs.len();
         tree
     }
 

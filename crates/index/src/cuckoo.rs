@@ -79,7 +79,10 @@ pub struct CuckooMap {
 }
 
 impl CuckooMap {
-    /// Creates a map sized for `capacity` keys at ≈50% load factor.
+    /// Creates a map with `capacity / 2` buckets of [`SLOTS`] slots, rounded
+    /// up to a power of two (at least 4): at least `2 × capacity` slots, so
+    /// `capacity` keys fill it to at most 50%. [`crate::Index`] passes twice
+    /// its key count here, which leaves a populated store at most 25% full.
     pub fn with_capacity(capacity: usize) -> Self {
         let buckets = (capacity / 2).next_power_of_two().max(4);
         CuckooMap {

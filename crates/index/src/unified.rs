@@ -39,7 +39,10 @@ pub enum Index {
 }
 
 impl Index {
-    /// Creates an empty index of `kind` sized for `capacity` keys.
+    /// Creates an empty index of `kind` sized for `capacity` keys. A hash
+    /// index gets `CuckooMap::with_capacity(2 × capacity)`: at least four
+    /// slots per key, so `capacity` keys fill it to at most 25% (19% at
+    /// 800k keys once the bucket count rounds up to a power of two).
     pub fn new(kind: IndexKind, capacity: usize) -> Self {
         match kind {
             IndexKind::Hash => Index::Hash(CuckooMap::with_capacity(capacity * 2)),
@@ -47,22 +50,32 @@ impl Index {
         }
     }
 
-    /// Builds an index from `(key, item)` pairs (bulk load; pairs need not
-    /// be sorted, keys must be distinct).
-    pub fn from_pairs(kind: IndexKind, mut pairs: Vec<(u64, ItemId)>) -> Self {
-        match kind {
+    /// Builds an index of `len` keys from a stream of `(key, item)` entries,
+    /// without collecting them first. A hash index inserts them in stream
+    /// order into a table sized like [`Index::new`] for `len` keys; a tree
+    /// needs them in strictly ascending key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream does not yield exactly `len` entries, or (tree)
+    /// if its keys are not strictly ascending.
+    pub fn bulk_load(
+        kind: IndexKind,
+        len: usize,
+        entries: impl IntoIterator<Item = (u64, ItemId)>,
+    ) -> Self {
+        let index = match kind {
             IndexKind::Hash => {
-                let mut m = CuckooMap::with_capacity(pairs.len() * 2);
-                for (k, v) in pairs {
+                let mut m = CuckooMap::with_capacity(len * 2);
+                for (k, v) in entries {
                     m.bulk_insert(k, v);
                 }
                 Index::Hash(m)
             }
-            IndexKind::Tree => {
-                pairs.sort_unstable_by_key(|&(k, _)| k);
-                Index::Tree(BplusTree::bulk_load(&pairs))
-            }
-        }
+            IndexKind::Tree => Index::Tree(BplusTree::bulk_load_iter(entries)),
+        };
+        assert_eq!(index.len(), len, "bulk_load entry count");
+        index
     }
 
     /// The index kind.
@@ -270,7 +283,7 @@ mod tests {
 
     fn exercise(kind: IndexKind) {
         let pairs: Vec<(u64, ItemId)> = (0..200).map(|i| (i * 5, i as ItemId)).collect();
-        let index = Index::from_pairs(kind, pairs);
+        let index = Index::bulk_load(kind, pairs.len(), pairs);
         let ((), index) = with_index(index, move |ctx, index| {
             // Point lookups.
             for k in 0..200u64 {
@@ -327,7 +340,7 @@ mod tests {
 
     #[test]
     fn scan_only_on_tree() {
-        let tree = Index::from_pairs(IndexKind::Tree, (0..50).map(|i| (i, i as ItemId)).collect());
+        let tree = Index::bulk_load(IndexKind::Tree, 50, (0..50).map(|i| (i, i as ItemId)));
         assert!(tree.supports_scan());
         let ((), _) = with_index(tree, |ctx, index| {
             let mut scan = IndexScan::new(index, 10, 19, 100);

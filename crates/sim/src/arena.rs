@@ -1,9 +1,10 @@
 //! A chunked arena with address-stable elements.
 //!
-//! Index structures in this workspace charge the cache model with the *real*
-//! addresses of the data they touch, so those addresses must never move.
-//! `Vec<T>` reallocates on growth; this arena allocates fixed-size boxed
-//! chunks instead, so a `&T` (and therefore its address) stays valid for the
+//! Index structures in this workspace charge the cache model with stable
+//! per-element addresses: virtual ones (`base + id × stride`, see
+//! [`crate::vaddr`]) or, without a virtual base, real ones. `Vec<T>`
+//! reallocates on growth; this arena allocates fixed-size boxed chunks
+//! instead, so a `&T` (and therefore its address) stays valid for the
 //! arena's lifetime. Elements are addressed by a dense `u32` slot id and can
 //! be freed and reused through an intrusive free list.
 

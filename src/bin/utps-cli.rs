@@ -211,6 +211,11 @@ fn main() {
         }
     };
 
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+
     eprintln!(
         "running {} ({:?}) over {} keys, {} workers, {} clients...",
         system.name(),

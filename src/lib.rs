@@ -60,7 +60,9 @@ pub use utps_workload as workload;
 pub mod prelude {
     pub use utps_baselines::{run, run_basekv_crash};
     pub use utps_cluster::{run_cluster, ClusterConfig, LinkConfig, MigrationSpec, SizeClass};
-    pub use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind, WorkloadSpec};
+    pub use utps_core::experiment::{
+        run_utps, ConfigError, RunConfig, RunResult, SystemKind, WorkloadSpec,
+    };
     pub use utps_core::retry::RetryConfig;
     pub use utps_core::tuner::{TunerMode, TunerParams};
     pub use utps_core::KvStore;

@@ -312,3 +312,22 @@ fn shared_mpmc_counterfactual_works_and_costs_more() {
         shared.mops
     );
 }
+
+#[test]
+fn cli_rejects_invalid_configs_before_running() {
+    for (args, msg) in [
+        (&["--batch", "0"][..], "batch must be at least 1"),
+        (&["--n-cr", "16"][..], "n_cr 16 with 16 workers"),
+        (&["--mr-ways", "99"][..], "mr_ways 99 exceeds"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_utps-cli"))
+            .args(["--keys", "20000"])
+            .args(args)
+            .output()
+            .expect("utps-cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
